@@ -1,6 +1,7 @@
 #include "pdc/stencil/heat.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -126,23 +127,66 @@ double HeatField::max_abs_diff(const HeatField& other) const {
   return m;
 }
 
+// One kernel, four cells per vector, bit-identical to the per-cell scalar
+// loop that tests/stencil_test.cpp keeps as its oracle:
+//  - every lane evaluates cur + k * (0.25f * (((up + down) + left) + right)
+//    - cur) in exactly that order, as does the scalar tail;
+//  - |next - cur| clears the sign bit, which is what std::fabs does;
+//  - the tile max is a per-lane `d > m ? d : m`, folded across lanes at the
+//    end. On non-NaN values max is order-free, and a NaN is dropped exactly
+//    as std::max(m, d) drops it, so the fold order cannot change the result;
+//  - the project builds in ISO mode (CMAKE_CXX_EXTENSIONS OFF), so GCC does
+//    not contract the multiply-adds into FMAs.
+// Rows are cols()+2 floats apart and not 16-byte aligned, so vectors are
+// loaded and stored with memcpy.
 double HeatWorkload::step_tile(const Field& src, Field& dst,
                                const TileBounds& b) const {
+  using f32x4 = float __attribute__((vector_size(16)));
+  using u32x4 = std::uint32_t __attribute__((vector_size(16)));
+  constexpr std::size_t kLanes = 4;
+  const auto load = [](const float* p) {
+    f32x4 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  };
+
   const float k = static_cast<float>(conductivity);
+  const std::size_t n = b.cols();
+  const std::size_t n_vec = n - n % kLanes;
+  const auto c0 = static_cast<std::ptrdiff_t>(b.c0);
+  f32x4 lane_max = {};
   float max_d = 0.0f;
   for (std::size_t r = b.r0; r < b.r1; ++r) {
     const auto ri = static_cast<std::ptrdiff_t>(r);
-    for (std::size_t c = b.c0; c < b.c1; ++c) {
-      const auto ci = static_cast<std::ptrdiff_t>(c);
-      const float cur = src.at(ri, ci);
-      const float avg =
-          0.25f * (src.at(ri - 1, ci) + src.at(ri + 1, ci) +
-                   src.at(ri, ci - 1) + src.at(ri, ci + 1));
+    const float* up = &src.at(ri - 1, c0);
+    const float* mid = &src.at(ri, c0);
+    const float* down = &src.at(ri + 1, c0);
+    const float* left = mid - 1;
+    const float* right = mid + 1;
+    float* out = &dst.at(ri, c0);
+    std::size_t i = 0;
+    for (; i < n_vec; i += kLanes) {
+      const f32x4 cur = load(mid + i);
+      const f32x4 avg = 0.25f * (((load(up + i) + load(down + i)) +
+                                  load(left + i)) +
+                                 load(right + i));
+      const f32x4 next = cur + k * (avg - cur);
+      std::memcpy(out + i, &next, sizeof next);
+      const f32x4 d = std::bit_cast<f32x4>(
+          std::bit_cast<u32x4>(next - cur) & 0x7fffffffu);
+      lane_max = d > lane_max ? d : lane_max;
+    }
+    for (; i < n; ++i) {
+      const float cur = mid[i];
+      const float avg = 0.25f * (((up[i] + down[i]) + left[i]) + right[i]);
       const float next = cur + k * (avg - cur);
-      dst.at(ri, ci) = next;
-      max_d = std::max(max_d, std::fabs(next - cur));
+      out[i] = next;
+      const float d = std::fabs(next - cur);
+      max_d = d > max_d ? d : max_d;
     }
   }
+  for (std::size_t l = 0; l < kLanes; ++l)
+    max_d = lane_max[l] > max_d ? lane_max[l] : max_d;
   return static_cast<double>(max_d);
 }
 

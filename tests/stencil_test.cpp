@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -343,6 +346,124 @@ TEST(Heat, MpHaloWordsAreExact) {
   // 2 ranks, each with one neighbor: 2 messages per step, each 1 flag
   // word + ceil(96/2) packed float words.
   EXPECT_EQ(res.halo_words, res.steps * 2u * (1u + 48u));
+}
+
+// ---------------------------------------------------------- heat kernel ---
+
+namespace {
+
+// The per-cell scalar loop HeatWorkload::step_tile used before it was
+// vectorized, kept verbatim as the kernel's oracle.
+double scalar_step_tile(const ps::HeatField& src, ps::HeatField& dst,
+                        const ps::TileBounds& b, double conductivity) {
+  const float k = static_cast<float>(conductivity);
+  float max_d = 0.0f;
+  for (std::size_t r = b.r0; r < b.r1; ++r) {
+    const auto ri = static_cast<std::ptrdiff_t>(r);
+    for (std::size_t c = b.c0; c < b.c1; ++c) {
+      const auto ci = static_cast<std::ptrdiff_t>(c);
+      const float cur = src.at(ri, ci);
+      const float avg =
+          0.25f * (src.at(ri - 1, ci) + src.at(ri + 1, ci) +
+                   src.at(ri, ci - 1) + src.at(ri, ci + 1));
+      const float next = cur + k * (avg - cur);
+      dst.at(ri, ci) = next;
+      max_d = std::max(max_d, std::fabs(next - cur));
+    }
+  }
+  return static_cast<double>(max_d);
+}
+
+// Every cell, halo ring included, seeded uniform in [0, 1): neighbours
+// are hotter for some cells and colder for others, so deltas of both
+// signs occur.
+ps::HeatField seeded_field(std::size_t rows, std::size_t cols,
+                           std::uint64_t seed) {
+  ps::HeatField f(rows, cols);
+  std::uint64_t s = seed;
+  for (std::ptrdiff_t r = -1; r <= static_cast<std::ptrdiff_t>(rows); ++r)
+    for (std::ptrdiff_t c = -1; c <= static_cast<std::ptrdiff_t>(cols);
+         ++c) {
+      s = s * 6364136223846793005ull + 1442695040888963407ull;
+      f.at(r, c) = static_cast<float>(s >> 40) * 0x1p-24f;
+    }
+  return f;
+}
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// Runs the kernel and the oracle on one tile, each into a destination
+// pre-filled with a sentinel, and checks every cell of both: bit-equal
+// inside the tile, untouched outside. Returns the column of the largest
+// delta (by the oracle) so callers can pin where the max came from.
+std::size_t expect_tile_matches_oracle(const ps::HeatField& src,
+                                       const ps::TileBounds& b, double k) {
+  constexpr float kSentinel = -1234.5f;
+  const std::size_t rows = src.rows(), cols = src.cols();
+  ps::HeatField got(rows, cols, kSentinel), want(rows, cols, kSentinel);
+  const double d_got = ps::HeatWorkload{k}.step_tile(src, got, b);
+  const double d_want = scalar_step_tile(src, want, b, k);
+  EXPECT_EQ(d_got, d_want);
+
+  bool heats = false, cools = false;
+  std::size_t argmax = b.c0;
+  float best = -1.0f;
+  for (std::ptrdiff_t r = -1; r <= static_cast<std::ptrdiff_t>(rows); ++r)
+    for (std::ptrdiff_t c = -1; c <= static_cast<std::ptrdiff_t>(cols);
+         ++c) {
+      const bool inside = r >= static_cast<std::ptrdiff_t>(b.r0) &&
+                          r < static_cast<std::ptrdiff_t>(b.r1) &&
+                          c >= static_cast<std::ptrdiff_t>(b.c0) &&
+                          c < static_cast<std::ptrdiff_t>(b.c1);
+      const float expect = inside ? want.at(r, c) : kSentinel;
+      EXPECT_EQ(bits(got.at(r, c)), bits(expect))
+          << "cell (" << r << ", " << c << ") " << (inside ? "in" : "out of")
+          << " tile rows [" << b.r0 << ", " << b.r1 << ") cols [" << b.c0
+          << ", " << b.c1 << ")";
+      if (!inside) continue;
+      const float delta = want.at(r, c) - src.at(r, c);
+      heats |= delta > 0.0f;
+      cools |= delta < 0.0f;
+      if (std::fabs(delta) > best) {
+        best = std::fabs(delta);
+        argmax = static_cast<std::size_t>(c);
+      }
+    }
+  if (b.cols() * b.rows() >= 8) {
+    EXPECT_TRUE(heats) << "tile cols [" << b.c0 << ", " << b.c1 << ")";
+    EXPECT_TRUE(cools) << "tile cols [" << b.c0 << ", " << b.c1 << ")";
+  }
+  return argmax;
+}
+
+}  // namespace
+
+// The vector kernel is a drop-in for the scalar loop: same field bits,
+// same returned delta, and no store past the tile for every width from
+// all-tail (1-3 cells) through ragged (5-7, 9, 63, 65) to whole vectors
+// (4, 8, 64), at aligned and unaligned starts and against both halos.
+TEST(HeatKernel, VectorKernelMatchesScalarPerCellOracle) {
+  constexpr std::size_t kRows = 6, kCols = 70;
+  const ps::HeatField src = seeded_field(kRows, kCols, 14);
+  for (const double k : {0.2, 0.25}) {
+    for (const std::size_t w : {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}) {
+      for (const std::size_t c0 : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{3}, kCols - w}) {
+        // Interior rows, then all rows (touching the top and bottom halo).
+        expect_tile_matches_oracle(src, {1, kRows - 1, c0, c0 + w}, k);
+        expect_tile_matches_oracle(src, {0, kRows, c0, c0 + w}, k);
+      }
+    }
+  }
+
+  // Pin the tile max first in the scalar tail, then in a vector lane: a
+  // hot spike's own delta (k * spike) dwarfs every other in the tile.
+  for (const std::size_t spike : {std::size_t{12}, std::size_t{5}}) {
+    ps::HeatField f = seeded_field(kRows, kCols, 15);
+    f.at(2, static_cast<std::ptrdiff_t>(spike)) = 50.0f;
+    const ps::TileBounds b{1, 4, 3, 13};  // cols 3-10 vector, 11-12 tail
+    EXPECT_EQ(expect_tile_matches_oracle(f, b, 0.2), spike);
+  }
 }
 
 // ------------------------------------------ tile-stealing run_threaded ---
